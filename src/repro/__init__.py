@@ -18,90 +18,49 @@ Quickstart::
     print(f"speedup: {full.speedup_over(base):.2f}x")
 """
 
-from repro.config import (
-    CACHELINE_SIZE,
-    CACHELINES_PER_PAGE,
-    FLASH_TIMINGS,
-    PAGE_SIZE,
-    CPUConfig,
-    CXLConfig,
-    FlashGeometry,
-    FlashTiming,
-    OSConfig,
-    SimConfig,
-    SkyByteConfig,
-    SSDConfig,
-    paper_config,
-    scaled_config,
-)
-from repro.experiments.backends import CellPolicy
-from repro.experiments.orchestrator import (
-    CellUpdate,
-    ResultCache,
-    SweepJob,
-    run_pairs,
-    run_sweep,
-    stream_sweep,
-    sweep_product,
-)
-from repro.experiments.runner import RunResult, build_config, run_workload
-from repro.sim.stats import SimStats
-from repro.sim.system import System, run_system
-from repro.variants import (
-    MAIN_VARIANTS,
-    MIGRATION_VARIANTS,
-    VARIANTS,
-    DesignVariant,
-    get_variant,
-)
-from repro.workloads.suites import (
-    TABLE_I,
-    WORKLOAD_NAMES,
-    get_model,
-    get_spec,
-    representative_four,
-)
+import importlib
+
+#: The public names, by the module that defines them.  They resolve on
+#: first access (PEP 562), so ``import repro`` -- and every ``repro.*``
+#: submodule import, such as the numpy-free ``repro job`` client --
+#: loads none of the simulator until one of them is used.
+_MODULE_EXPORTS = {
+    "repro.config": (
+        "CACHELINE_SIZE", "CACHELINES_PER_PAGE", "PAGE_SIZE", "FLASH_TIMINGS",
+        "CPUConfig", "CXLConfig", "FlashGeometry", "FlashTiming", "OSConfig",
+        "SSDConfig", "SimConfig", "SkyByteConfig", "paper_config",
+        "scaled_config",
+    ),
+    "repro.experiments.backends": ("CellPolicy",),
+    "repro.experiments.orchestrator": (
+        "CellUpdate", "ResultCache", "SweepJob", "run_pairs", "run_sweep",
+        "stream_sweep", "sweep_product",
+    ),
+    "repro.experiments.runner": ("RunResult", "build_config", "run_workload"),
+    "repro.sim.stats": ("SimStats",),
+    "repro.sim.system": ("System", "run_system"),
+    "repro.variants": (
+        "DesignVariant", "VARIANTS", "MAIN_VARIANTS", "MIGRATION_VARIANTS",
+        "get_variant",
+    ),
+    "repro.workloads.suites": (
+        "TABLE_I", "WORKLOAD_NAMES", "get_model", "get_spec",
+        "representative_four",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items()
+            for name in names}
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CACHELINE_SIZE",
-    "CACHELINES_PER_PAGE",
-    "PAGE_SIZE",
-    "FLASH_TIMINGS",
-    "CPUConfig",
-    "CXLConfig",
-    "FlashGeometry",
-    "FlashTiming",
-    "OSConfig",
-    "SSDConfig",
-    "SimConfig",
-    "SkyByteConfig",
-    "paper_config",
-    "scaled_config",
-    "CellPolicy",
-    "CellUpdate",
-    "ResultCache",
-    "RunResult",
-    "SweepJob",
-    "build_config",
-    "run_pairs",
-    "run_sweep",
-    "run_workload",
-    "stream_sweep",
-    "sweep_product",
-    "SimStats",
-    "System",
-    "run_system",
-    "DesignVariant",
-    "VARIANTS",
-    "MAIN_VARIANTS",
-    "MIGRATION_VARIANTS",
-    "get_variant",
-    "TABLE_I",
-    "WORKLOAD_NAMES",
-    "get_model",
-    "get_spec",
-    "representative_four",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -42,9 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim import engine as engine_mod
-from repro.sim import fastpath
-
 SCHEMA_VERSION = 1
 DEFAULT_OUT = "BENCH_speed.json"
 DEFAULT_BASELINE = "benchmarks/BENCH_speed.baseline.json"
@@ -137,6 +134,11 @@ def measure_driver(
     best-of-``repeats`` wall time, cells/sec and events/sec for the
     vectorized path, the scalar reference numbers, and their ratio.
     """
+    # Imported here: ``repro bench`` options join the CLI parser, which
+    # must not load the simulator.
+    from repro.sim import engine as engine_mod
+    from repro.sim import fastpath
+
     figures = figures if figures is not None else _default_figures()
     if spec.name not in figures:
         raise BenchError(f"unknown figure driver: {spec.name}")
@@ -211,6 +213,8 @@ def run_bench(
     echo: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
     """Run every spec and assemble the ``BENCH_speed.json`` payload."""
+    from repro.sim import fastpath
+
     drivers: Dict[str, Dict[str, object]] = {}
     for spec in specs:
         if echo:

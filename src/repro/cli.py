@@ -75,85 +75,67 @@ long sweeps progress instead of waiting for the final table.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro import bench as bench_mod
-from repro.experiments import ablation, colocation, cost, design, migration_study
-from repro.experiments import flash_sensitivity, motivation, occupancy, overall
-from repro.experiments import qos, sensitivity
-from repro.experiments.backends import (
-    CellPolicy,
-    DistributedBackend,
-    resolve_backend,
-)
-from repro.experiments.orchestrator import (
-    ResultCache,
-    SweepJob,
-    default_jobs,
-    run_sweep,
-    stream_sweep,
-    sweep_product,
-)
-from repro.experiments.registry import run_registry
-from repro.experiments.runner import (
-    DEFAULT_SCALE,
-    build_config,
-    capture_workload,
-    default_records,
-    run_workload,
-)
-from repro.experiments.worker import run_worker
-from repro.figures.report import ReportBuilder
-from repro.figures.trends import append_trend, load_trends
-from repro.obs import REGISTRY
-from repro.scenarios import (
-    build_colocation,
-    canonical_scenario,
-    get_scenario,
-    inspect_tracefile,
-    read_meta,
-    scenario_names,
-    tenants_from_names,
-    write_tracefile,
-)
-from repro.variants import MAIN_VARIANTS, VARIANTS, canonical_variant
-from repro.workloads.suites import WORKLOAD_NAMES, canonical_workload
+if TYPE_CHECKING:
+    from repro.experiments.backends import CellPolicy
+    from repro.experiments.orchestrator import SweepJob
+
+# Only the parser and the helpers live at module level: every command
+# imports the simulator pieces it uses, so ``repro job ...`` and
+# ``--help`` start without numpy or any simulator module.
+
+
+class _Drivers(dict):
+    """Figure id -> driver, imported from ``repro.experiments`` on first
+    lookup (values start as ``"module:function"`` strings)."""
+
+    def __getitem__(self, name: str) -> Callable:
+        fn = super().__getitem__(name)
+        if isinstance(fn, str):
+            module, _, attr = fn.partition(":")
+            fn = getattr(importlib.import_module(
+                f"repro.experiments.{module}"), attr)
+            self[name] = fn
+        return fn
+
 
 #: Figure/table drivers reachable from ``python -m repro figures``.
-FIGURES: Dict[str, Callable] = {
-    "fig2": motivation.fig2_dram_vs_cssd,
-    "fig3": motivation.fig3_latency_distribution,
-    "fig4": motivation.fig4_boundedness,
-    "fig5": motivation.fig5_read_locality,
-    "fig6": motivation.fig6_write_locality,
-    "fig9": design.fig9_threshold_sweep,
-    "fig10": design.fig10_scheduling_policies,
-    "fig14": overall.fig14_overall,
-    "fig15": overall.fig15_thread_scaling,
-    "fig16": overall.fig16_request_breakdown,
-    "fig17": overall.fig17_amat,
-    "fig18": overall.fig18_write_traffic,
-    "fig19": sensitivity.fig19_log_size_performance,
-    "fig20": sensitivity.fig20_log_size_traffic,
-    "fig21": sensitivity.fig21_dram_size,
-    "fig22": sensitivity.fig22_flash_latency,
-    "fig23": migration_study.fig23_migration_mechanisms,
-    "table3": overall.table3_flash_read_latency,
-    "colocation": colocation.colocation_study,
-    "qos": qos.qos_slo_study,
-    "flash-sensitivity": flash_sensitivity.flash_sensitivity_study,
-    "cost": cost.cost_effectiveness,
-    "prefetch-ablation": ablation.prefetch_ablation,
-    "promotion-threshold": ablation.promotion_threshold_sweep,
-    "persistence-interval": ablation.persistence_interval_sweep,
-    "channel-occupancy": occupancy.channel_occupancy_study,
-}
+FIGURES: Dict[str, Callable] = _Drivers({
+    "fig2": "motivation:fig2_dram_vs_cssd",
+    "fig3": "motivation:fig3_latency_distribution",
+    "fig4": "motivation:fig4_boundedness",
+    "fig5": "motivation:fig5_read_locality",
+    "fig6": "motivation:fig6_write_locality",
+    "fig9": "design:fig9_threshold_sweep",
+    "fig10": "design:fig10_scheduling_policies",
+    "fig14": "overall:fig14_overall",
+    "fig15": "overall:fig15_thread_scaling",
+    "fig16": "overall:fig16_request_breakdown",
+    "fig17": "overall:fig17_amat",
+    "fig18": "overall:fig18_write_traffic",
+    "fig19": "sensitivity:fig19_log_size_performance",
+    "fig20": "sensitivity:fig20_log_size_traffic",
+    "fig21": "sensitivity:fig21_dram_size",
+    "fig22": "sensitivity:fig22_flash_latency",
+    "fig23": "migration_study:fig23_migration_mechanisms",
+    "table3": "overall:table3_flash_read_latency",
+    "colocation": "colocation:colocation_study",
+    "qos": "qos:qos_slo_study",
+    "flash-sensitivity": "flash_sensitivity:flash_sensitivity_study",
+    "cost": "cost:cost_effectiveness",
+    "prefetch-ablation": "ablation:prefetch_ablation",
+    "promotion-threshold": "ablation:promotion_threshold_sweep",
+    "persistence-interval": "ablation:persistence_interval_sweep",
+    "channel-occupancy": "occupancy:channel_occupancy_study",
+})
 
 
 def _split_names(values: Optional[Sequence[str]]) -> Optional[List[str]]:
@@ -168,6 +150,8 @@ def _split_names(values: Optional[Sequence[str]]) -> Optional[List[str]]:
 
 def _cache_from_args(args: argparse.Namespace) -> object:
     """The cache argument for run_sweep: CLI caches by default."""
+    from repro.experiments.orchestrator import ResultCache
+
     if getattr(args, "no_cache", False):
         return False
     max_bytes = getattr(args, "cache_max_bytes", None)
@@ -181,6 +165,8 @@ def _policy_from_args(args: argparse.Namespace) -> Optional[CellPolicy]:
     ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRY_BUDGET`` values; unset
     options keep the environment's (or built-in) defaults.
     """
+    from repro.experiments.backends import CellPolicy
+
     timeout = getattr(args, "cell_timeout", None)
     budget = getattr(args, "retry_budget", None)
     if timeout is None and budget is None:
@@ -201,6 +187,8 @@ def _backend_from_args(args: argparse.Namespace) -> object:
     join/leave); ``--backend`` names the backend explicitly
     (``--workers`` or ``--registry`` alone imply ``distributed``).
     """
+    from repro.experiments.backends import DistributedBackend, resolve_backend
+
     listen = getattr(args, "listen", None)
     workers = _split_names(getattr(args, "workers", None))
     registry = getattr(args, "registry", None)
@@ -233,6 +221,9 @@ def _print_kv(rows: Dict[str, object], indent: str = "  ") -> None:
 
 def _print_cache_summary(store: object, backend: object) -> None:
     """The shared tail output of sweep/report: cache and worker hits."""
+    from repro.experiments.backends import DistributedBackend
+    from repro.experiments.orchestrator import ResultCache
+
     if isinstance(store, ResultCache):
         total = store.hits + store.misses
         pct = 100.0 * store.hits / total if total else 0.0
@@ -319,6 +310,9 @@ def _bad_backend(exc: ValueError) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.orchestrator import SweepJob, run_sweep
+    from repro.experiments.runner import run_workload
+
     try:
         job = SweepJob.make(
             args.workload,
@@ -364,6 +358,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.orchestrator import (ResultCache, default_jobs, run_sweep,
+                                                stream_sweep, sweep_product)
+    from repro.experiments.runner import default_records
+    from repro.scenarios import canonical_scenario
+    from repro.variants import MAIN_VARIANTS, canonical_variant
+    from repro.workloads.suites import WORKLOAD_NAMES, canonical_workload
+
     try:
         scenarios = [canonical_scenario(s)
                      for s in (_split_names(args.scenario) or [])]
@@ -484,6 +485,8 @@ def _figure_kwargs(
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from repro.workloads.suites import canonical_workload
+
     try:
         if args.workloads:
             args.workloads = [canonical_workload(w)
@@ -521,6 +524,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render figures to SVG and assemble the paper-fidelity report."""
+    from repro.figures.report import ReportBuilder
+    from repro.figures.trends import append_trend, load_trends
+    from repro.workloads.suites import canonical_workload
+
     try:
         if args.workloads:
             args.workloads = [canonical_workload(w)
@@ -602,6 +609,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
+    from repro.experiments.orchestrator import ResultCache
+    from repro.experiments.worker import run_worker
+
     # Workers share the coordinator's content-addressed cache when
     # pointed at the same directory (e.g. a shared filesystem).
     cache = (
@@ -627,6 +637,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_registry(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import run_registry
+
     try:
         return run_registry(args.listen, stale_after=args.stale_after)
     except (ValueError, OSError) as exc:
@@ -635,6 +647,9 @@ def cmd_registry(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from repro.experiments.orchestrator import ResultCache
+    from repro.obs import REGISTRY
+
     store = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
     if args.action == "path":
         print(store.root)
@@ -676,13 +691,18 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Speed benchmarking: emit BENCH_speed.json, optionally gate on the
     committed baseline (see :mod:`repro.bench`)."""
-    return bench_mod.run_from_args(args)
+    from repro import bench
+
+    return bench.run_from_args(args)
 
 
 def _trace_gen_meta(names: Sequence[str], args: argparse.Namespace,
                     threads_per_tenant: int):
     """Build (traces, meta) for ``trace gen``: one name is a solo trace,
     several names become colocated tenants in disjoint partitions."""
+    from repro.experiments.runner import DEFAULT_SCALE, build_config, default_records
+    from repro.scenarios import build_colocation, get_scenario, tenants_from_names
+
     records = args.records or default_records()
     scale = args.scale or DEFAULT_SCALE
     seed = args.seed if args.seed is not None else 42
@@ -727,6 +747,10 @@ def _trace_gen_meta(names: Sequence[str], args: argparse.Namespace,
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.experiments.orchestrator import SweepJob, run_sweep
+    from repro.experiments.runner import capture_workload
+    from repro.scenarios import inspect_tracefile, read_meta, write_tracefile
+
     try:
         if args.trace_cmd == "gen":
             names = _split_names(args.names)
@@ -926,6 +950,8 @@ def _run_job_verb(client: object, args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench import add_arguments as bench_arguments
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SkyByte reproduction: parallel experiment runner",
@@ -933,8 +959,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one (workload, variant) cell")
-    p_run.add_argument("workload", help=f"one of {', '.join(WORKLOAD_NAMES)}")
-    p_run.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
+    # Name help gives examples: listing the registries would import
+    # them (and numpy); an unknown name's error lists the valid ones.
+    p_run.add_argument("workload", help="Table I workload (e.g. bc, ycsb)")
+    p_run.add_argument("variant",
+                       help="design variant (e.g. Base-CSSD, SkyByte-Full)")
     p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--scale", type=int, default=None)
     p_run.add_argument("--timing", default=None,
@@ -1072,8 +1101,8 @@ def build_parser() -> argparse.ArgumentParser:
              "a multi-tenant colocation trace)",
     )
     p_gen.add_argument("names", nargs="+",
-                       help=f"scenario or workload name(s); scenarios: "
-                            f"{', '.join(scenario_names())}")
+                       help="scenario or workload name(s); docs/SCENARIOS.md "
+                            "lists the scenarios")
     p_gen.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
     p_gen.add_argument("--threads", type=int, default=2,
                        help="threads (per tenant when colocating; default 2)")
@@ -1103,7 +1132,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one simulation cell and capture the stream it consumes",
     )
     p_capture.add_argument("workload", help="workload or scenario name")
-    p_capture.add_argument("variant", help=f"one of {', '.join(VARIANTS)}")
+    p_capture.add_argument("variant",
+                           help="design variant (e.g. Base-CSSD, SkyByte-Full)")
     p_capture.add_argument("--output", "-o", required=True, metavar="FILE.sbt")
     p_capture.add_argument("--records", type=int, default=None)
     p_capture.add_argument("--threads", type=int, default=None)
@@ -1144,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="measure figure-driver throughput and emit BENCH_speed.json",
     )
-    bench_mod.add_arguments(p_bench)
+    bench_arguments(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(

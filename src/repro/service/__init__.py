@@ -11,15 +11,14 @@ Submodules:
 * :mod:`repro.service.client` -- a stdlib-only client used by the
   ``repro job`` CLI verbs and by tests.
 
-The coordinator and API are imported lazily by the CLI (``repro
-serve`` / ``repro job``) so that importing :mod:`repro.service` stays
-cheap for code that only wants the sqlite cache.
+The store, coordinator and API load the simulator (the result cache
+stores :class:`~repro.experiments.runner.RunResult` objects).  This
+package itself only names the job lifecycle, so the client -- and with
+it every ``repro job`` verb -- imports no simulator code and no numpy.
 """
 
-from repro.service.store import JobStore, SqliteResultCache, open_result_cache
+#: Jobs in these states are finished: no scheduler will touch them again.
+TERMINAL_STATES = ("done", "failed", "cancelled")
 
-__all__ = [
-    "JobStore",
-    "SqliteResultCache",
-    "open_result_cache",
-]
+#: Every state a job can be in (queued -> running -> one of the above).
+JOB_STATES = ("queued", "running") + TERMINAL_STATES

@@ -14,17 +14,20 @@ handler reads and writes JSON.  Endpoints::
                                       -> 201 {"id": N, ...summary}
     GET  /api/jobs/<id>               full job row (spec, result, error, ...)
     GET  /api/jobs/<id>/events?after=N   events with seq > N
-    GET  /api/jobs/<id>/events?after=N&stream=1
-                                      NDJSON: one event per line, long-polled
-                                      until the job reaches a terminal state
-                                      (the final line is a {"event": "state"}
-                                      record carrying that state)
+    GET  /api/jobs/<id>/events?after=N&stream=1[&timeout=S]
+                                      NDJSON: one event per line, pushed as
+                                      the store records it, until the job
+                                      reaches a terminal state or S seconds
+                                      pass (the final line is a
+                                      {"event": "state"} record carrying the
+                                      job's state at that moment)
     GET  /api/jobs/<id>/result        the stored result payload (e.g. the
                                       ``repro sweep --output`` document)
     POST /api/jobs/<id>/cancel        cancel queued outright / flag running
 
-Errors are ``{"error": "..."}`` with a 4xx status.  The server never
-executes jobs itself -- it only talks to the service's
+Errors are ``{"error": "..."}`` with a 4xx status; a request body must
+declare a valid ``Content-Length`` of at most :data:`MAX_BODY_BYTES`.
+The server never executes jobs itself -- it only talks to the service's
 :class:`~repro.service.store.JobStore`, which the scheduler threads
 drain -- so a slow HTTP client cannot stall a sweep.
 """
@@ -41,11 +44,11 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import REGISTRY
 from repro.obs.spans import SpanContext
+from repro.service import JOB_STATES, TERMINAL_STATES
 from repro.service.coordinator import SweepService
-from repro.service.store import JOB_STATES, TERMINAL_STATES
 
-#: How long a streaming events request waits between store polls.
-STREAM_POLL_INTERVAL = 0.2
+#: Largest request body the API reads (a job spec is a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 _JOB_PATH = re.compile(r"^/api/jobs/(\d+)(?:/(events|result|cancel))?$")
 
@@ -88,7 +91,8 @@ class ServiceAPI:
         self.server.serve_forever()
 
     def close(self) -> None:
-        self.server.repro_closing = True  # unblocks event streamers
+        self.server.repro_closing = True
+        self.service.store.notify()  # wake event streamers to see the flag
         self.server.shutdown()
         self.server.server_close()
         if self._thread is not None:
@@ -118,7 +122,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self) -> Optional[Dict[str, object]]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Checked before reading: a bad length would raise here or block
+        # the handler thread until EOF, a huge one would buffer it all.
+        # The unread body makes the connection unusable, so it closes.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                self._send_error(400, "invalid Content-Length")
+            else:
+                self._send_error(
+                    413, f"request body over {MAX_BODY_BYTES} bytes")
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -185,9 +203,17 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(200, job["result"])
             else:  # events
-                after = int((query.get("after") or ["0"])[0])
+                try:
+                    after = int((query.get("after") or ["0"])[0])
+                    timeout = float((query.get("timeout") or ["inf"])[0])
+                except ValueError:
+                    timeout = -1.0
+                if not timeout >= 0:  # also rejects nan
+                    self._send_error(400, "after must be an integer and "
+                                          "timeout a number >= 0")
+                    return
                 if (query.get("stream") or ["0"])[0] in ("1", "true"):
-                    self._stream_events(job_id, after)
+                    self._stream_events(job_id, after, timeout)
                 else:
                     events = self.api.service.store.events_after(job_id, after)
                     self._send_json(200, {"job": job_id, "events": events})
@@ -224,13 +250,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- NDJSON streaming ------------------------------------------------
 
-    def _stream_events(self, job_id: int, after: int) -> None:
-        """Long-poll the event log, one JSON object per line.
+    def _stream_events(self, job_id: int, after: int,
+                       timeout: float) -> None:
+        """Push the event log, one JSON object per line, as it grows.
 
-        Ends when the job reaches a terminal state; the last line is a
-        synthetic ``{"event": "state"}`` record so clients need not
-        re-fetch the job to learn the outcome.  Chunked encoding keeps
-        the HTTP/1.1 connection well-formed without a known length.
+        Between reads the handler sleeps on the store's change
+        notification, so an event reaches the client as soon as it is
+        stored.  Ends when the job reaches a terminal state or after
+        ``timeout`` seconds; the last line is a synthetic
+        ``{"event": "state"}`` record with the job's state then, so
+        clients need not re-fetch the job to learn the outcome.  Chunked
+        encoding keeps the HTTP/1.1 connection well-formed without a
+        known length.
         """
         store = self.api.service.store
         self.send_response(200)
@@ -243,18 +274,22 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(b"%x\r\n" % len(line) + line + b"\r\n")
             self.wfile.flush()
 
+        deadline = time.monotonic() + timeout
         try:
             while not self.server.repro_closing:
+                seen = store.version
                 for event in store.events_after(job_id, after):
                     after = event["seq"]
                     emit(event)
                 job = store.get(job_id)
-                if job is None or job["state"] in TERMINAL_STATES:
+                remaining = deadline - time.monotonic()
+                if (job is None or job["state"] in TERMINAL_STATES
+                        or remaining <= 0):
                     emit({"event": "state", "seq": after,
                           "state": job["state"] if job else "deleted",
                           "error": job.get("error") if job else None})
                     break
-                time.sleep(STREAM_POLL_INTERVAL)
+                store.wait_for_change(seen, remaining)
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):

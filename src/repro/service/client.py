@@ -4,7 +4,9 @@
 ``repro job`` CLI verbs never hand-roll requests.  Every method maps
 1:1 onto an endpoint documented in :mod:`repro.service.api`; streaming
 reads the NDJSON event feed incrementally, so progress arrives as the
-coordinator produces it.
+coordinator produces it, and :meth:`ServiceClient.wait` returns the
+moment that feed ends.  Nothing here imports the simulator or numpy,
+so a ``repro job`` process starts in a fraction of a second.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import urllib.request
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.spans import current_context
-from repro.service.store import TERMINAL_STATES
+from repro.service import TERMINAL_STATES
 
 
 class ServiceError(RuntimeError):
@@ -123,15 +125,20 @@ class ServiceClient:
 
     def stream(self, job_id: int, after: int = 0,
                timeout: Optional[float] = None) -> Iterator[Dict[str, object]]:
-        """Yield the job's events live until it reaches a terminal state.
+        """Yield the job's events live until it reaches a terminal state
+        or the server's ``timeout`` (seconds) runs out.
 
         The last yielded record is the server's synthetic
-        ``{"event": "state"}`` line.  ``timeout`` is the per-read
-        socket timeout (a sweep cell can legitimately take minutes;
-        default: no limit).
+        ``{"event": "state"}`` line with the job's state at that point.
+        The socket gives up ``self.timeout`` seconds after the server
+        should have ended the stream (a sweep cell can legitimately take
+        minutes, so without ``timeout`` a read waits up to an hour).
         """
         path = f"/api/jobs/{job_id}/events?after={after}&stream=1"
-        resp = self._request("GET", path, timeout=timeout or 3600.0)
+        if timeout is not None:
+            path += f"&timeout={timeout}"
+        resp = self._request("GET", path,
+                             timeout=(timeout or 3600.0) + self.timeout)
         try:
             for raw in resp:
                 line = raw.strip()
@@ -140,16 +147,17 @@ class ServiceClient:
         finally:
             resp.close()
 
-    def wait(self, job_id: int, timeout: float = 3600.0,
-             poll: float = 0.2) -> Dict[str, object]:
-        """Block until the job is terminal; returns the final job row."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    408, f"job {job_id} still {job['state']} "
-                         f"after {timeout:.0f}s")
-            time.sleep(poll)
+    def wait(self, job_id: int, timeout: float = 3600.0) -> Dict[str, object]:
+        """Block until the job is terminal; returns the final job row.
+
+        Follows the job's event stream, which the server ends the moment
+        the job does -- or after ``timeout`` seconds, which raises
+        ``ServiceError(408)``.
+        """
+        last: Dict[str, object] = {}
+        for last in self.stream(job_id, timeout=timeout):
+            pass
+        if last.get("state") not in TERMINAL_STATES:
+            raise ServiceError(408, f"job {job_id} still {last.get('state')} "
+                                    f"after {timeout:g}s")
+        return self.job(job_id)

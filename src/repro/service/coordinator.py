@@ -30,9 +30,11 @@ Job kinds and their ``spec`` objects:
     under ``<state_dir>/artifacts/``.
 
 Scheduling is the store's: priority first, fair share across
-submitters, FIFO.  ``max_active`` bounds concurrently running jobs
-(default 1 -- the worker fleet is a shared resource; a sweep already
-parallelizes internally).  Progress is appended to the store's event
+submitters, FIFO; an idle scheduler sleeps on the store's change
+notification, so a submission is claimed the moment it is stored.
+``max_active`` bounds concurrently running jobs (default 1 -- the
+worker fleet is a shared resource; a sweep already parallelizes
+internally).  Progress is appended to the store's event
 log as ``cell`` events, which the HTTP API serves as polls or NDJSON
 streams.
 """
@@ -150,6 +152,7 @@ class SweepService:
 
     def close(self) -> None:
         self._stop.set()
+        self.store.notify()  # wake idle schedulers to see the stop flag
         for thread in self._schedulers:
             thread.join(timeout=10.0)
         self._schedulers = []
@@ -199,9 +202,10 @@ class SweepService:
 
     def _scheduler_loop(self) -> None:
         while not self._stop.is_set():
+            seen = self.store.version
             job = self.store.claim_next()
             if job is None:
-                self._stop.wait(0.2)
+                self.store.wait_for_change(seen)
                 continue
             self._run_job(job)
 

@@ -45,12 +45,12 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.orchestrator import ResultCache
 from repro.experiments.runner import RunResult
+from repro.service import JOB_STATES
 
-#: Jobs in these states are finished: no scheduler will touch them again.
-TERMINAL_STATES = ("done", "failed", "cancelled")
-
-#: Every state a job can be in (queued -> running -> one of the above).
-JOB_STATES = ("queued", "running") + TERMINAL_STATES
+#: Longest :meth:`JobStore.wait_for_change` blocks without a wake-up.
+#: Writes through the same :class:`JobStore` wake waiters at once; this
+#: only bounds how late a change made by another process is noticed.
+IDLE_RECHECK_S = 1.0
 
 
 def _connect(path: Union[str, Path]) -> sqlite3.Connection:
@@ -358,12 +358,44 @@ class JobStore:
     ``CellUpdate`` events, so a coordinator can be killed and restarted
     without losing the queue.  All methods are safe to call from any
     thread and from multiple processes sharing the file.
+
+    Every submit and every event append (which covers running, finish,
+    fail and cancel) bumps :attr:`version` and wakes the threads blocked
+    in :meth:`wait_for_change`, so the scheduler and the event streams
+    react to a change instead of polling for it.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tls = threading.local()
+        self._changed = threading.Condition()
+        self._version = 0
+
+    # -- change notification ---------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Bumped by every submit and event append.  Read it *before*
+        looking at the store and pass it to :meth:`wait_for_change`, so
+        a change made in between is never slept through."""
+        return self._version
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait_for_change` caller (shutdown paths set
+        their own stop flag first, then call this)."""
+        with self._changed:
+            self._version += 1
+            self._changed.notify_all()
+
+    def wait_for_change(self, seen: int,
+                        timeout: Optional[float] = None) -> None:
+        """Block until :attr:`version` moves past ``seen``, or at most
+        ``timeout`` seconds (capped at :data:`IDLE_RECHECK_S`)."""
+        limit = IDLE_RECHECK_S if timeout is None else min(timeout,
+                                                           IDLE_RECHECK_S)
+        with self._changed:
+            self._changed.wait_for(lambda: self._version != seen, limit)
 
     def _db(self) -> sqlite3.Connection:
         con = getattr(self._tls, "con", None)
@@ -442,7 +474,8 @@ class JobStore:
                 (kind, json.dumps(spec, sort_keys=True), submitter,
                  int(priority), time.time()),
             )
-            return int(cur.lastrowid)
+        self.notify()
+        return int(cur.lastrowid)
 
     def get(self, job_id: int) -> Optional[Dict[str, object]]:
         row = self._db().execute(
@@ -609,6 +642,7 @@ class JobStore:
                 (job_id, seq, time.time(),
                  json.dumps(payload, sort_keys=True)),
             )
+        self.notify()
         return seq
 
     def events_after(

@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro`` command line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
+from _worker_utils import worker_env
 from repro.cli import FIGURES, main
 
 R = "80"  # records per thread: plumbing-sized
@@ -415,3 +418,57 @@ def test_records_env_default(capsys, monkeypatch, tmp_path):
 def test_bad_invocations_exit_nonzero(argv):
     with pytest.raises(SystemExit):
         main(argv)
+
+
+# The public API of ``import repro``: resolved lazily, but unchanged.
+PUBLIC_API = [
+    "CACHELINE_SIZE", "CACHELINES_PER_PAGE", "PAGE_SIZE", "FLASH_TIMINGS",
+    "CPUConfig", "CXLConfig", "FlashGeometry", "FlashTiming", "OSConfig",
+    "SSDConfig", "SimConfig", "SkyByteConfig", "paper_config",
+    "scaled_config", "CellPolicy", "CellUpdate", "ResultCache", "RunResult",
+    "SweepJob", "build_config", "run_pairs", "run_sweep", "run_workload",
+    "stream_sweep", "sweep_product", "SimStats", "System", "run_system",
+    "DesignVariant", "VARIANTS", "MAIN_VARIANTS", "MIGRATION_VARIANTS",
+    "get_variant", "TABLE_I", "WORKLOAD_NAMES", "get_model", "get_spec",
+    "representative_four", "__version__",
+]
+
+JOB_VERB_PROBE = """
+import json, sys
+from repro.cli import build_parser
+args = build_parser().parse_args(
+    ["job", "--server", "127.0.0.1:1", "wait", "1"])
+assert args.job_cmd == "wait" and args.id == 1
+import repro.service.client
+heavy = ("numpy", "repro.sim", "repro.experiments", "repro.workloads")
+print(json.dumps(sorted(
+    m for m in sys.modules if m in heavy or m.startswith(
+        tuple(h + "." for h in heavy)))))
+"""
+
+
+def test_job_verbs_import_no_simulator():
+    """A ``repro job`` process (parser + client) loads neither numpy nor
+    any simulator package: that import is most of a client's run time."""
+    proc = subprocess.run([sys.executable, "-c", JOB_VERB_PROBE],
+                          capture_output=True, text=True, env=worker_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_lazy_package_api_is_unchanged():
+    import repro
+    from repro import SimConfig, run_workload
+
+    assert sorted(repro.__all__) == sorted(PUBLIC_API)
+    assert callable(run_workload) and SimConfig().ssd is not None
+    for name in PUBLIC_API:
+        assert getattr(repro, name) is not None
+    with pytest.raises(AttributeError):
+        getattr(repro, "no_such_name")
+
+
+def test_figure_registry_resolves_every_driver():
+    for name in FIGURES:
+        assert callable(FIGURES[name]), name

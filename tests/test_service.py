@@ -299,6 +299,56 @@ class TestJobStoreConcurrency:
         first_four = {store.claim_next()["submitter"] for _ in range(4)}
         assert first_four == {f"user{i}" for i in range(4)}
 
+    def test_change_notification_loses_no_wakeup(self, tmp_path,
+                                                 monkeypatch):
+        """Writer threads append events while watcher threads sleep on
+        the store's change notification.  A lost wake-up would stall a
+        watcher for the (patched) 60 s recheck; a lost counter update
+        would leave ``version`` short of the writes."""
+        monkeypatch.setattr("repro.service.store.IDLE_RECHECK_S", 60.0)
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        writers, events = 6, 15
+        seen = store.version
+        jobs = [store.submit("sweep", {}) for _ in range(writers)]
+        started = time.monotonic()
+        store.wait_for_change(seen)  # changed since ``seen``: no sleep
+        assert time.monotonic() - started < 5
+        base = store.version
+        total = writers * events
+
+        def write(jid):
+            for i in range(events):
+                store.add_event(jid, {"event": "note", "i": i})
+
+        def watch(done):
+            while True:
+                seen = store.version
+                if seen - base >= total:
+                    done.set()
+                    return
+                store.wait_for_change(seen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            done = [threading.Event() for _ in range(4)]
+            threads = ([threading.Thread(target=watch, args=(d,), daemon=True)
+                        for d in done]
+                       + [threading.Thread(target=write, args=(j,), daemon=True)
+                          for j in jobs])
+            started = time.monotonic()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert all(not t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(d.is_set() for d in done)
+        assert time.monotonic() - started < 30
+        assert store.version - base == total
+        assert all(len(store.events_after(j)) == events for j in jobs)
+
 
 # ---------------------------------------------------------------------------
 # SweepService
@@ -543,3 +593,145 @@ class TestServeProcess:
         client.wait_healthy()
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=15) == 0
+
+
+# ---------------------------------------------------------------------------
+# Request bodies are bounded before they are read
+
+
+def _post_with_length(url: str, length: str):
+    """POST /api/jobs declaring ``length`` but sending no body."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=10)
+    try:
+        conn.putrequest("POST", "/api/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def idle_api(tmp_path, monkeypatch):
+    """An HTTP API over a service whose scheduler never starts, so a
+    submitted job stays queued; the store's idle recheck is pushed to
+    60 s, so anything that returns sooner was woken by an event."""
+    monkeypatch.setattr("repro.service.store.IDLE_RECHECK_S", 60.0)
+    svc = SweepService(state_dir=tmp_path / "state",
+                       cache_dir=tmp_path / "cache", jobs=1)
+    api = ServiceAPI(svc, port=0)
+    api.start()
+    yield svc, api, ServiceClient(api.url)
+    api.close()
+    svc.close()
+
+
+class TestRequestBodyLimits:
+    def test_non_integer_length_is_400(self, idle_api):
+        _, api, _ = idle_api
+        status, body = _post_with_length(api.url, "lots")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_negative_length_is_400_without_blocking(self, idle_api):
+        _, api, _ = idle_api
+        started = time.monotonic()
+        status, _ = _post_with_length(api.url, "-1")
+        assert status == 400
+        assert time.monotonic() - started < 5
+
+    def test_oversized_body_is_413_before_reading(self, idle_api):
+        from repro.service.api import MAX_BODY_BYTES
+
+        svc, api, _ = idle_api
+        status, body = _post_with_length(api.url, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert svc.store.list_jobs() == []
+
+    def test_bad_event_query_is_400(self, idle_api):
+        svc, _, client = idle_api
+        jid = svc.store.submit("sweep", {})
+        for bad in ("stream=1&timeout=soon", "stream=1&timeout=-1",
+                    "stream=1&timeout=nan", "after=abc",
+                    "stream=1&after=1.5"):
+            with pytest.raises(ServiceError) as err:
+                client._json("GET", f"/api/jobs/{jid}/events?{bad}")
+            assert err.value.status == 400, bad
+
+
+# ---------------------------------------------------------------------------
+# Scheduling, streams and waits are woken by store changes, not timers
+
+
+class TestEventDrivenWakeups:
+    def test_idle_scheduler_claims_a_submission_at_once(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr("repro.service.store.IDLE_RECHECK_S", 60.0)
+        with SweepService(state_dir=tmp_path / "s", cache_dir=tmp_path / "c",
+                          jobs=1) as svc:
+            time.sleep(0.2)  # let the scheduler go idle on an empty queue
+            jid = svc.submit("sweep", {"workloads": ["bc"],
+                                       "variants": ["Base-CSSD"],
+                                       "records": R})
+            job = wait_for(svc.store, jid, timeout=30.0)
+            assert job["state"] == "done", job.get("error")
+            assert job["started_at"] - job["submitted_at"] < 5.0
+            time.sleep(0.2)  # idle again: close() must wake it
+            closing = time.monotonic()
+        assert time.monotonic() - closing < 5.0
+
+    def test_wait_returns_when_the_stream_ends(self, idle_api):
+        svc, _, client = idle_api
+        jid = svc.store.submit("sweep", {})
+        svc.store.claim_next()
+        finisher = threading.Timer(
+            0.3, svc.store.finish, args=(jid, {"results": []}))
+        finisher.start()
+        try:
+            started = time.monotonic()
+            final = client.wait(jid, timeout=60)
+            elapsed = time.monotonic() - started
+        finally:
+            finisher.join()
+        assert final["state"] == "done"
+        assert 0.3 <= elapsed < 5.0
+
+    def test_wait_times_out_with_408(self, idle_api):
+        svc, _, client = idle_api
+        jid = svc.store.submit("sweep", {})  # no scheduler: stays queued
+        started = time.monotonic()
+        with pytest.raises(ServiceError) as err:
+            client.wait(jid, timeout=0.5)
+        elapsed = time.monotonic() - started
+        assert err.value.status == 408
+        assert "queued" in str(err.value)
+        assert 0.5 <= elapsed < 5.0
+
+    def test_close_ends_an_open_stream(self, idle_api):
+        svc, api, client = idle_api
+        jid = svc.store.submit("sweep", {})
+        svc.store.add_event(jid, {"event": "note"})
+        seen = []
+        ended = threading.Event()
+
+        def follow():
+            for event in client.stream(jid):
+                seen.append(event)
+            ended.set()
+
+        reader = threading.Thread(target=follow, daemon=True)
+        reader.start()
+        deadline = time.monotonic() + 10
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert seen, "the stream never delivered the logged event"
+        started = time.monotonic()
+        api.close()
+        assert ended.wait(5.0), "api.close() left the stream open"
+        assert time.monotonic() - started < 5.0
