@@ -485,7 +485,10 @@ class ResultCache:
         """Atomically write one data entry; returns its size in bytes."""
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(key)
-        tmp = final.with_name(final.name + f".tmp{os.getpid()}")
+        # Unique per thread too: two service jobs in one process can
+        # finish the same cell at once, outside the index lock.
+        tmp = final.with_name(
+            final.name + f".tmp{os.getpid()}.{threading.get_ident()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(result.to_dict(), fh, separators=(",", ":"))
         os.replace(tmp, final)

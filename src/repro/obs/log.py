@@ -25,6 +25,16 @@ _lock = threading.Lock()
 _loggers: Dict[str, "JsonLinesLogger"] = {}
 
 
+def _fresh_lock_in_child() -> None:
+    # See metrics._fresh_lock_in_child: a forked child must not inherit
+    # a lock another thread of its parent held at the fork.
+    global _lock
+    _lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
+
+
 def _threshold() -> int:
     name = os.environ.get("REPRO_LOG", "info").strip().lower()
     return LEVELS.get(name, 20)

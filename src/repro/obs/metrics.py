@@ -227,3 +227,13 @@ def _default_enabled() -> bool:
 
 
 REGISTRY = MetricsRegistry(enabled=_default_enabled())
+
+
+def _fresh_lock_in_child() -> None:
+    # A child forked while another thread held the lock (the local
+    # backend forks pool workers from the threaded coordinator) would
+    # inherit it held forever and hang on its first span.
+    REGISTRY._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)

@@ -278,10 +278,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             while not self.server.repro_closing:
                 seen = store.version
+                # The state first, then the log: a terminal state commits
+                # with its event, so this pass still emits that event.
+                job = store.get(job_id)
                 for event in store.events_after(job_id, after):
                     after = event["seq"]
                     emit(event)
-                job = store.get(job_id)
                 remaining = deadline - time.monotonic()
                 if (job is None or job["state"] in TERMINAL_STATES
                         or remaining <= 0):

@@ -35,11 +35,13 @@ must not be shared across ``fork()`` -- each process opens its own.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import sqlite3
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -53,9 +55,41 @@ from repro.service import JOB_STATES
 IDLE_RECHECK_S = 1.0
 
 
+class _Connection(sqlite3.Connection):
+    """A connection :data:`_LIVE` can refer to weakly."""
+
+
+#: Every open connection, and the ones a fork pinned (see below).
+_LIVE: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+_PINNED: List[_Connection] = []
+
+
+def _before_fork() -> None:
+    # The local backend forks pool workers while other threads may be
+    # inside sqlite, holding one of its mutexes.  A child that then ran
+    # sqlite code would wait on that mutex forever, so it must free no
+    # sqlite object it inherits: every open connection is pinned (a
+    # thread-local one of a thread the child lacks would be closed), and
+    # inherited garbage -- cursors in reference cycles, say -- is frozen
+    # out of the child's collector.
+    _PINNED[:] = _LIVE
+    gc.freeze()
+
+
+def _after_fork_in_parent() -> None:
+    _PINNED.clear()
+    gc.unfreeze()
+
+
+os.register_at_fork(before=_before_fork,
+                    after_in_parent=_after_fork_in_parent)
+
+
 def _connect(path: Union[str, Path]) -> sqlite3.Connection:
     """A WAL-mode autocommit connection (transactions are explicit)."""
-    con = sqlite3.connect(str(path), timeout=30.0, isolation_level=None)
+    con = sqlite3.connect(str(path), timeout=30.0, isolation_level=None,
+                          factory=_Connection)
+    _LIVE.add(con)
     con.execute("PRAGMA journal_mode=WAL")
     con.execute("PRAGMA synchronous=NORMAL")
     con.execute("PRAGMA busy_timeout=30000")
@@ -577,8 +611,10 @@ class JobStore:
                  else None,
                  job_id),
             )
-        self.add_event(job_id, {"event": "state", "state": state,
-                                **({"error": error} if error else {})})
+            self._append_event(con, job_id, {
+                "event": "state", "state": state,
+                **({"error": error} if error else {})})
+        self.notify()
 
     def finish(self, job_id: int, result: Dict[str, object]) -> None:
         self._finish(job_id, "done", None, result)
@@ -610,6 +646,8 @@ class JobStore:
                     " WHERE id = ?",
                     (time.time(), job_id),
                 )
+                self._append_event(con, job_id,
+                                   {"event": "state", "state": "cancelled"})
                 state = "cancelled"
             elif state == "running":
                 con.execute(
@@ -617,7 +655,7 @@ class JobStore:
                     (job_id,),
                 )
         if state == "cancelled":
-            self.add_event(job_id, {"event": "state", "state": "cancelled"})
+            self.notify()
         return state
 
     def cancel_requested(self, job_id: int) -> bool:
@@ -631,18 +669,26 @@ class JobStore:
     def add_event(self, job_id: int, payload: Dict[str, object]) -> int:
         con = self._db()
         with _txn(con):
-            seq = con.execute(
-                "SELECT COALESCE(MAX(seq), 0) + 1 FROM job_events"
-                " WHERE job_id = ?",
-                (job_id,),
-            ).fetchone()[0]
-            con.execute(
-                "INSERT INTO job_events (job_id, seq, at, payload)"
-                " VALUES (?, ?, ?, ?)",
-                (job_id, seq, time.time(),
-                 json.dumps(payload, sort_keys=True)),
-            )
+            seq = self._append_event(con, job_id, payload)
         self.notify()
+        return seq
+
+    @staticmethod
+    def _append_event(con: sqlite3.Connection, job_id: int,
+                      payload: Dict[str, object]) -> int:
+        """Log one event inside the caller's transaction.  A state change
+        commits together with its event, so a reader that sees the new
+        state and then reads the log finds the event there."""
+        seq = con.execute(
+            "SELECT COALESCE(MAX(seq), 0) + 1 FROM job_events"
+            " WHERE job_id = ?",
+            (job_id,),
+        ).fetchone()[0]
+        con.execute(
+            "INSERT INTO job_events (job_id, seq, at, payload)"
+            " VALUES (?, ?, ?, ?)",
+            (job_id, seq, time.time(), json.dumps(payload, sort_keys=True)),
+        )
         return seq
 
     def events_after(

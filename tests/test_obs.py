@@ -104,6 +104,47 @@ class TestMetricsRegistry:
         reg.counter("c_total", "", path='a"b\\c').inc()
         assert 'c_total{path="a\\"b\\\\c"} 1' in reg.render_prometheus()
 
+    def test_fork_while_locks_are_held_does_not_hang_the_child(self):
+        """The local backend forks pool workers from the threaded
+        service; a worker forked while another thread held the metrics
+        or log lock must still be able to close its ``sweep.cell`` span."""
+        import multiprocessing
+        import threading
+
+        from repro.obs import log
+        from repro.obs.metrics import REGISTRY
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold_both():
+            with REGISTRY._lock, log._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_both, daemon=True)
+        holder.start()
+        assert held.wait(10)
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_span_then_log)
+            child.start()
+            child.join(timeout=10)
+            alive = child.is_alive()
+            if alive:
+                child.kill()
+                child.join(timeout=10)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not alive, "forked child hung on an inherited lock"
+        assert child.exitcode == 0
+
+
+def _span_then_log() -> None:
+    with span("sweep.cell"):
+        pass
+    get_logger("fork-child")
+
 
 # -- timeline tracer ---------------------------------------------------------
 

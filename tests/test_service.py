@@ -169,6 +169,33 @@ def _run_sqlite_hammers(root, max_bytes=None, n=20):
 
 
 class TestSqliteCacheConcurrency:
+    def test_threads_putting_one_key_at_once(self, tmp_path):
+        """Two service jobs in one process can finish the same cell at
+        the same moment; their blob writes must not share a temp file."""
+        store = SqliteResultCache(tmp_path)
+        errors = []
+
+        def put_many():
+            try:
+                for _ in range(30):
+                    store.put("same", fake_result())
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put_many) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not t.is_alive() for t in threads)
+        assert errors == []
+        assert store.get("same").workload == "bc"
+
     def test_concurrent_writers_uncapped(self, tmp_path):
         _run_sqlite_hammers(tmp_path)
         store = SqliteResultCache(tmp_path)
@@ -298,6 +325,38 @@ class TestJobStoreConcurrency:
         # four claims go to four distinct users.
         first_four = {store.claim_next()["submitter"] for _ in range(4)}
         assert first_four == {f"user{i}" for i in range(4)}
+
+    def test_forked_child_frees_no_inherited_connection(self, tmp_path):
+        """The local backend forks pool workers while service threads
+        hold thread-local connections.  The child must not close them:
+        sqlite may be mid-call in a parent thread, holding a mutex the
+        close would wait on forever."""
+        import gc
+
+        from repro.service import store as store_mod
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        opened, release = threading.Event(), threading.Event()
+
+        def hold_a_connection():
+            store.get(1)  # opens this thread's connection
+            opened.set()
+            release.wait(30)
+
+        holder = threading.Thread(target=hold_a_connection, daemon=True)
+        holder.start()
+        try:
+            assert opened.wait(10)
+            live = len(store_mod._LIVE)
+            pid = os.fork()
+            if pid == 0:  # the holder thread does not exist here
+                gc.collect()
+                os._exit(0 if len(store_mod._LIVE) == live else 1)
+            _, status = os.waitpid(pid, 0)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_change_notification_loses_no_wakeup(self, tmp_path,
                                                  monkeypatch):
@@ -455,9 +514,11 @@ class TestServiceHTTP:
             client.jobs(state="nope")
         assert err.value.status == 400
 
-    def test_result_of_unfinished_job_conflicts(self, service):
-        svc, client = service
-        jid = svc.store.submit("sweep", {})  # never scheduled: store only
+    def test_result_of_unfinished_job_conflicts(self, idle_api):
+        # No scheduler runs, so the job is never claimed: a running one
+        # would wake on the submit and start a full default sweep.
+        svc, _, client = idle_api
+        jid = svc.store.submit("sweep", {})
         svc.store.request_cancel(jid)
         with pytest.raises(ServiceError) as err:
             client.result(jid)
